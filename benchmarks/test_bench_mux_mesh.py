@@ -10,6 +10,7 @@ from conftest import bench_scenario_config
 
 from repro.experiments import run_scenario
 from repro.mesh import MeshConfig
+from repro.transport import TransportSpec
 
 
 def total_connections(result):
@@ -19,7 +20,9 @@ def total_connections(result):
 def run_pair():
     base = bench_scenario_config(rps=30.0)
     pool = run_scenario(base, cross_layer=True)
-    mux = run_scenario(base, cross_layer=True, mesh=MeshConfig(use_mux=True))
+    mux = run_scenario(
+        base, cross_layer=True, mesh=MeshConfig(transport=TransportSpec(mux=True))
+    )
     return pool, mux
 
 

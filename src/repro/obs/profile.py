@@ -20,9 +20,9 @@ Design constraints:
   counts are exact; explicit section entries (qdisc, obs) are observed
   on sampled dispatches only, i.e. at ~1/``timing_stride`` frequency.
 * **Zero hooks when disabled.**  A :class:`~repro.sim.core.Simulator`
-  without an attached profiler runs the plain ``step`` class method —
-  no wrapper, no per-event branch.  Attaching installs an instance
-  override; detaching removes it.
+  without an attached profiler runs the plain ``step``/``_advance``
+  class methods — no wrapper, no per-event branch.  Attaching installs
+  instance overrides; detaching removes them.
 * **Low overhead when enabled.**  Event *counting* is exact and cheap:
   the kernel hook reduces each callback to a hashable key (code object,
   owner type, or function) with two or three attribute loads and looks
@@ -235,7 +235,9 @@ class SimProfiler:
     def _section_of(self, owner) -> str:
         if owner is None:
             return "dispatch"
-        fn = getattr(owner, "fn", None)  # Simulator.call_later wrapper
+        # A call_later heap entry (which is its own owner) is
+        # classified by the callee it will run.
+        fn = getattr(owner, "fn", None)
         if fn is not None:
             owner = fn
         obj = getattr(owner, "__self__", None)

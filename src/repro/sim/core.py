@@ -1,10 +1,10 @@
 """The discrete-event simulator kernel.
 
-The kernel maintains a time-ordered heap of triggered events and processes
-them one at a time, advancing the simulated clock to each event's due time.
-Time is a float in seconds. Determinism is guaranteed by a monotonically
-increasing tie-break sequence number: events scheduled for the same instant
-are processed in scheduling order.
+The kernel maintains a time-ordered heap of triggered events and scheduled
+calls and processes them one at a time, advancing the simulated clock to
+each entry's due time. Time is a float in seconds. Determinism is
+guaranteed by a monotonically increasing tie-break sequence number:
+entries scheduled for the same instant are processed in scheduling order.
 """
 
 from __future__ import annotations
@@ -19,23 +19,31 @@ from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 
 
-class _ScheduledCall:
-    """A ``call_later`` callback as an inspectable object.
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
-    A plain lambda would work, but the self-profiler needs to see the
-    *original* bound callback to attribute the dispatch to its owner's
-    subsystem, so the wrapper keeps it in a slot.
+
+class _ScheduledCall:
+    """A :meth:`Simulator.call_later` callback, pushed onto the heap as is.
+
+    The entry is its own heap item and its own cancellable handle: it
+    has the ``_process()`` the dispatch loop calls, so a scheduled call
+    costs no :class:`Event`, no callbacks list and no ``_enqueue_event``
+    frame.  The self-profiler reads ``fn`` to attribute the dispatch to
+    the callee's owner.  ``pending`` turns False once the call has run
+    or been cancelled.
     """
 
-    __slots__ = ("fn", "args", "cancelled")
+    __slots__ = ("fn", "args", "pending")
 
     def __init__(self, fn: Callable, args: tuple):
         self.fn = fn
         self.args = args
-        self.cancelled = False
+        self.pending = True
 
-    def __call__(self, _event) -> None:
-        if not self.cancelled:
+    def _process(self) -> None:
+        if self.pending:
+            self.pending = False
             self.fn(*self.args)
 
 
@@ -44,11 +52,12 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
 
     Closures rather than methods so every hot name — the heap, the
     profiler's count/second tables, the key cache — is a local.  Per
-    event the loop reduces the first callback to a hashable key with
-    plain type checks (``getattr`` with a missed attribute costs ~10x a
-    hit, so no speculative lookups), resolves the section through the
-    key cache, and bumps its count.  Only every ``timing_stride``-th
-    event pays the ``perf_counter`` pair; explicit sections observe the
+    event the loop reduces the scheduled call's ``fn`` (or an event's
+    first callback) to a hashable key with plain type checks
+    (``getattr`` with a missed attribute costs ~10x a hit, so no
+    speculative lookups), resolves the section through the key cache,
+    and bumps its count.  Only every ``timing_stride``-th event pays
+    the ``perf_counter`` pair; explicit sections observe the
     ``_timing`` flag and skip their own timing on unsampled dispatches.
 
     ``_advance`` fuses the dispatch body straight into the run loop —
@@ -56,7 +65,7 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
     the instrumentation cost.  ``step`` wraps the same body for direct
     single-event callers; the two must stay in sync.
     """
-    heappop = heapq.heappop
+    heappop = _heappop
     perf_counter = time.perf_counter
     queue = sim._queue
     cache = profiler._key_cache
@@ -73,22 +82,21 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
             when, _seq, event = heappop(queue)
             sim._now = when
             sim._event_count += 1
-            callbacks = event.callbacks
             # Branches ordered by observed frequency: scheduled calls
             # dominate (packet timers), then process resumes.
-            if callbacks:
-                owner = callbacks[0]
+            if event.__class__ is _ScheduledCall:
+                fn = event.fn
+                fn_cls = fn.__class__
+                if fn_cls is MethodType:
+                    key = fn.__self__.__class__
+                elif fn_cls is FunctionType:
+                    key = fn.__code__
+                else:
+                    key = fn_cls
+            elif event.callbacks:
+                owner = event.callbacks[0]
                 cls = owner.__class__
-                if cls is _ScheduledCall:
-                    fn = owner.fn
-                    fn_cls = fn.__class__
-                    if fn_cls is MethodType:
-                        key = fn.__self__.__class__
-                    elif fn_cls is FunctionType:
-                        key = fn.__code__
-                    else:
-                        key = fn_cls
-                elif cls is MethodType:
+                if cls is MethodType:
                     obj = owner.__self__
                     # Process resume: attribute to the generator's code.
                     key = (
@@ -131,8 +139,10 @@ def _make_profiled_hooks(sim: "Simulator", profiler):
         when, _seq, event = heappop(queue)
         sim._now = when
         sim._event_count += 1
-        callbacks = event.callbacks
-        owner = callbacks[0] if callbacks else None
+        if event.__class__ is _ScheduledCall:
+            owner = event
+        else:
+            owner = event.callbacks[0] if event.callbacks else None
         section = profiler._section_of(owner)
         extra_counts[section] = extra_counts.get(section, 0) + 1
         tick += 1
@@ -215,32 +225,74 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, list(events))
 
-    def call_at(self, when: float, callback: Callable, *args) -> Event:
-        """Run ``callback(*args)`` at absolute simulated time ``when``."""
+    def call_at(self, when: float, callback: Callable, *args) -> _ScheduledCall:
+        """Run ``callback(*args)`` at absolute simulated time ``when``.
+
+        Returns the cancellable handle :meth:`cancel_call` takes.  The
+        instant is ``now + (when - now)``, as :meth:`call_later` computes
+        it, which can differ from ``when`` by one ulp.
+        """
         if when < self._now:
             raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
         return self.call_later(when - self._now, callback, *args)
 
-    def call_later(self, delay: float, callback: Callable, *args) -> Event:
-        """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        event = Timeout(self, delay)
-        event.callbacks.append(_ScheduledCall(callback, args))
-        return event
+    def call_later(self, delay: float, callback: Callable, *args) -> _ScheduledCall:
+        """Run ``callback(*args)`` after ``delay`` simulated seconds.
 
-    def cancel_call(self, event: Event) -> bool:
+        Returns the cancellable handle :meth:`cancel_call` takes (not an
+        :class:`Event`: nothing can wait on it).  Calls and events due at
+        the same instant run in the order they were scheduled.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        entry = _ScheduledCall(callback, args)
+        self._sequence += 1
+        _heappush(self._queue, (self._now + delay, self._sequence, entry))
+        return entry
+
+    def reserve(self, delay: float) -> tuple[float, int]:
+        """Claim the heap position of a :meth:`call_later` made now.
+
+        Returns the ``(due time, sequence number)`` key that
+        ``call_later(delay, ...)`` would use at this moment, and
+        schedules nothing.  :meth:`call_reserved` can later put a call
+        under that key: it then runs exactly where the call made now
+        would have run, both in time and among same-instant events.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        self._sequence += 1
+        return self._now + delay, self._sequence
+
+    def call_reserved(
+        self, key: tuple[float, int], callback: Callable, *args
+    ) -> _ScheduledCall:
+        """Run ``callback(*args)`` under a key claimed by :meth:`reserve`.
+
+        Returns the cancellable handle :meth:`cancel_call` takes.  The
+        key's due time must not be in the past.
+        """
+        when, sequence = key
+        if when < self._now:
+            raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
+        entry = _ScheduledCall(callback, args)
+        _heappush(self._queue, (when, sequence, entry))
+        return entry
+
+    def cancel_call(self, handle: _ScheduledCall) -> bool:
         """Cancel a pending :meth:`call_later`/:meth:`call_at` callback.
 
-        The heap entry stays (removing mid-heap would be O(n)); dispatch
-        becomes a no-op. Cancelling an already-processed call returns
-        False. The fluid transport cancels completion events this way
-        when a connection closes with transfers in flight.
+        ``handle`` is what those methods returned.  Returns True if the
+        call was pending, False once it has run or was already
+        cancelled.  The heap entry stays (removing mid-heap would be
+        O(n)); it is still popped, and counted as a processed event,
+        but runs nothing.  The fluid transport cancels completions this
+        way when a connection closes with transfers in flight.
         """
-        cancelled = False
-        for callback in event.callbacks or ():
-            if isinstance(callback, _ScheduledCall) and not callback.cancelled:
-                callback.cancelled = True
-                cancelled = True
-        return cancelled
+        if not handle.pending:
+            return False
+        handle.pending = False
+        return True
 
     # -- profiling ---------------------------------------------------------
     def attach_profiler(self, profiler) -> None:
@@ -268,7 +320,7 @@ class Simulator:
     def _enqueue_event(self, event: Event, delay: float = 0.0) -> None:
         """Put a triggered event on the processing queue (kernel use)."""
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        _heappush(self._queue, (self._now + delay, self._sequence, event))
 
     def peek(self) -> float:
         """Due time of the next event, or ``inf`` if the queue is empty."""
@@ -276,7 +328,7 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its due time."""
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, event = _heappop(self._queue)
         self._now = when
         self._event_count += 1
         event._process()
@@ -284,12 +336,17 @@ class Simulator:
     def _advance(self, deadline: float) -> None:
         """Dispatch every event due strictly before ``deadline``.
 
-        The inner loop of :meth:`run`; the profiler installs a fused
-        instance override so instrumentation amortizes the loop's
-        per-event call overhead.
+        The inner loop of :meth:`run`, with :meth:`step`'s body fused in
+        so there is no per-event method call; the profiler installs an
+        instrumented override of the same shape.
         """
-        while self._queue and self._queue[0][0] < deadline:
-            self.step()
+        queue = self._queue
+        heappop = _heappop
+        while queue and queue[0][0] < deadline:
+            when, _seq, event = heappop(queue)
+            self._now = when
+            self._event_count += 1
+            event._process()
 
     def run(self, until: float | Event | None = None):
         """Run the simulation.

@@ -159,6 +159,11 @@ class ConnectionEnd:
         self._rto = self.config.min_rto * 4
         self._rto_deadline = float("inf")
         self._rto_backoff = 1.0
+        #: Heap key the current deadline claimed when it was armed
+        #: (None while nothing is in flight), and the key of the one
+        #: RTO timer on the heap (None if there is none).
+        self._rto_key: tuple[float, int] | None = None
+        self._rto_timer: tuple[float, int] | None = None
 
         # -- receiver state --
         self._rcv_nxt = 0
@@ -288,20 +293,50 @@ class ConnectionEnd:
             self.on_writable()
 
     # -- RTO timer --------------------------------------------------------
+    # One pending timer per connection.  Every arm moves the deadline and
+    # claims the heap key a timer of its own would have had; a timer is
+    # pushed only when that key is earlier than the pending timer's (the
+    # RTO shrank after an RTT sample).  A timer that finds the deadline
+    # moved later re-arms once, under the key the deadline claimed, so a
+    # timeout fires at the same instant and in the same same-instant
+    # order as when every arm pushed a timer and stale ones were dropped.
     def _arm_rto(self) -> None:
         if self._snd_una >= self._snd_nxt:
             self._rto_deadline = float("inf")
+            self._rto_key = None
             return
-        deadline = self.sim.now + self._rto * self._rto_backoff
+        sim = self.sim
+        now = sim.now
+        deadline = now + self._rto * self._rto_backoff
+        if (
+            deadline == self._rto_deadline
+            and self._rto_key[0] <= now + (deadline - now)
+        ):
+            return  # the first arm of an unchanged deadline fires first
         self._rto_deadline = deadline
-        self.sim.call_at(deadline, self._rto_fire, deadline)
+        key = self._rto_key = sim.reserve(deadline - now)
+        timer = self._rto_timer
+        if timer is None or key < timer:
+            self._rto_timer = key
+            sim.call_reserved(key, self._rto_fire, key)
 
-    def _rto_fire(self, deadline: float) -> None:
-        if self.closed or deadline != self._rto_deadline:
-            return  # stale timer
-        if self._snd_una >= self._snd_nxt:
+    def _rto_fire(self, key: tuple[float, int]) -> None:
+        if key is not self._rto_timer:
+            return  # superseded by an earlier timer
+        self._rto_timer = None
+        current = self._rto_key
+        if self.closed or current is None:
             return
-        # Retransmission timeout: collapse and go back to snd_una.
+        if current is not key:
+            # The deadline moved later since this timer was pushed.
+            self._rto_timer = current
+            self.sim.call_reserved(current, self._rto_fire, current)
+            return
+        if self._snd_una < self._snd_nxt:
+            self._timeout()
+
+    def _timeout(self) -> None:
+        """Retransmission timeout: collapse and go back to snd_una."""
         self.timeouts += 1
         if self.config.metrics is not None:
             self.config.metrics.counter("transport_rto_total").inc()
@@ -360,7 +395,6 @@ class ConnectionEnd:
             self.cc.on_ack(bytes_acked, sample)
             self._prune_boundaries(ack)
             self._pump()
-            self._arm_rto()
         elif ack == self._snd_una and self.bytes_in_flight > 0:
             self._dup_acks += 1
             if (

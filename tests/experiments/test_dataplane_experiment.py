@@ -17,8 +17,7 @@ from repro.obs.attribution import LAYER_PROXY
 TINY = dict(rps=20.0, duration=2.0, warmup=0.3, drain=10.0, seed=42)
 
 
-@pytest.fixture
-def small_grid(monkeypatch):
+def shrink_grid(monkeypatch):
     """Shrink the grid so the full experiment runs in test time."""
     monkeypatch.setattr(dp, "RPS_LEVELS", (20.0,))
     monkeypatch.setattr(
@@ -85,25 +84,32 @@ class TestMeasureDataplane:
 
 
 class TestExperimentGrid:
-    def test_serial_vs_parallel_byte_identical(self, small_grid):
-        with Runner(workers=1, cache_dir=None) as serial:
-            a = DataplaneExperiment(**TINY).run(serial)
+    @pytest.fixture(scope="class")
+    def serial(self):
+        """One serial run of the shrunken grid, shared by the class; the
+        grid stays shrunken until the class is done."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            shrink_grid(monkeypatch)
+            with Runner(workers=1, cache_dir=None) as runner:
+                result = DataplaneExperiment(**TINY).run(runner)
+            yield result
+
+    def test_serial_vs_parallel_byte_identical(self, serial):
         with Runner(workers=2, cache_dir=None) as parallel:
             b = DataplaneExperiment(**TINY).run(parallel)
-        assert a.csv() == b.csv()
-        assert a.report() == b.report()
+        assert serial.csv() == b.csv()
+        assert serial.report() == b.report()
 
-    def test_invariants_and_rendering(self, small_grid):
-        result = DataplaneExperiment(**TINY).run()
-        assert result.max_component_residual <= 0.01
-        assert result.max_nomesh_proxy_seconds == 0.0
-        assert result.ambient_leaner_everywhere
-        report = result.report()
+    def test_invariants_and_rendering(self, serial):
+        assert serial.max_component_residual <= 0.01
+        assert serial.max_nomesh_proxy_seconds == 0.0
+        assert serial.ambient_leaner_everywhere
+        report = serial.report()
         assert "X-10" in report and "PASS" in report and "FAIL" not in report
-        assert set(result.figure4) == {"sidecar", "ambient", "none"}
-        for arch, stage in result.figure4.items():
+        assert set(serial.figure4) == {"sidecar", "ambient", "none"}
+        for arch, stage in serial.figure4.items():
             assert stage["off"]["p99"] > 0 and stage["on"]["p99"] > 0
-        lines = result.csv().strip().splitlines()
+        lines = serial.csv().strip().splitlines()
         assert lines[0].startswith("section,arch,proto,rps,class,name")
         assert any(line.startswith("figure4,") for line in lines)
         assert any(line.startswith("component,") for line in lines)

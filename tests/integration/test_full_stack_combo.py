@@ -11,6 +11,7 @@ import pytest
 from repro.core import CrossLayerPolicy, audit_provenance
 from repro.experiments import ScenarioConfig, run_scenario
 from repro.mesh import MeshConfig
+from repro.transport import TransportSpec
 
 EVERYTHING = CrossLayerPolicy(
     replica_pinning=True,
@@ -26,7 +27,11 @@ SHORT = dict(rps=25.0, duration=4.0, warmup=1.0, seed=9)
 @pytest.fixture(scope="module")
 def combo_run():
     return run_scenario(
-        ScenarioConfig(policy=EVERYTHING, mesh=MeshConfig(use_mux=True), **SHORT)
+        ScenarioConfig(
+            policy=EVERYTHING,
+            mesh=MeshConfig(transport=TransportSpec(mux=True)),
+            **SHORT,
+        )
     )
 
 

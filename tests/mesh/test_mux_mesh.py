@@ -7,10 +7,11 @@ from helpers import MeshTestbed, echo_handler
 from repro.core import CrossLayerPolicy, PriorityPolicyHooks
 from repro.http import HttpRequest
 from repro.mesh import MeshConfig
+from repro.transport import TransportSpec
 
 
 def mux_testbed(**config_kwargs):
-    config = MeshConfig(use_mux=True, **config_kwargs)
+    config = MeshConfig(transport=TransportSpec(mux=True), **config_kwargs)
     return MeshTestbed(mesh_config=config)
 
 
@@ -91,7 +92,7 @@ class TestMuxPriority:
         # A slow pod link so the 5 MB response occupies the wire long
         # enough for the HIGH response to need to overtake it.
         testbed = MeshTestbed(
-            mesh_config=MeshConfig(use_mux=True),
+            mesh_config=MeshConfig(transport=TransportSpec(mux=True)),
             pod_link_rate_bps=100_000_000,
         )
         testbed.mesh.set_policy(PriorityPolicyHooks(CrossLayerPolicy.disabled()))

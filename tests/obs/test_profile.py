@@ -100,6 +100,26 @@ class TestClassification:
         assert result.mesh.telemetry.profiler is result.sim.profiler
         assert result.sim.profiler.counts.get("obs", 0) > 0
 
+    @pytest.mark.parametrize("stepping", [False, True])
+    def test_scheduled_call_charged_to_its_callee(self, stepping):
+        from repro.transport import TransportConfig
+
+        sim = Simulator()
+        profiler = SimProfiler()
+        sim.attach_profiler(profiler)
+        # Any bound method of a transport-layer object will do.
+        handle = sim.call_later(1.0, TransportConfig().__repr__)
+        sim.call_later(2.0, sim.cancel_call, handle)
+        cancelled = sim.call_later(3.0, TransportConfig().__repr__)
+        sim.cancel_call(cancelled)
+        if stepping:
+            for _ in range(3):
+                sim.step()
+        else:
+            sim.run()
+        # A cancelled call still counts, under its callee's section.
+        assert profiler.counts == {"transport": 2, "dispatch": 1}
+
 
 class TestDeterminism:
     def test_event_counts_identical_across_runs(self):

@@ -211,3 +211,129 @@ def test_event_trigger_chaining_failure():
     sim.run()
     assert not sink.ok
     assert isinstance(sink.exception, RuntimeError)
+
+
+# -- scheduled-call contract ------------------------------------------------
+
+
+def test_cancel_call_returns_true_once_then_false():
+    sim = Simulator()
+    handle = sim.call_later(1.0, lambda: None)
+    assert sim.cancel_call(handle) is True
+    assert sim.cancel_call(handle) is False
+
+
+def test_cancel_call_after_the_call_ran_returns_false():
+    sim = Simulator()
+    fired = []
+    handle = sim.call_at(2.0, fired.append, "ran")
+    sim.run()
+    assert fired == ["ran"]
+    assert sim.cancel_call(handle) is False
+
+
+def test_cancelled_call_never_runs_but_counts_as_processed():
+    sim = Simulator()
+    fired = []
+    handle = sim.call_later(1.0, fired.append, "cancelled")
+    sim.call_later(2.0, fired.append, "kept")
+    sim.cancel_call(handle)
+    sim.run()
+    assert fired == ["kept"]
+    assert sim.processed_events == 2
+    assert sim.now == 2.0
+
+
+def test_call_later_negative_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.call_later(-1, lambda: None)
+
+
+def _mixed_same_instant(sim, log):
+    """Schedule one entry of every kind for ``sim.now + 1`` and, from a
+    callback at that instant, one of every kind at zero delay."""
+
+    def proc(label):
+        log.append(label)
+        yield sim.timeout(0)
+
+    def at_one():
+        log.append("call_later@1")
+        sim.call_later(0.0, log.append, "call_later@0")
+        sim.timeout(0.0).callbacks.append(lambda _e: log.append("timeout@0"))
+        sim.process(proc("process@0"))
+        sim.call_at(sim.now, log.append, "call_at@0")
+        event = sim.event()
+        event.callbacks.append(lambda _e: log.append("succeed@0"))
+        event.succeed()
+        sim.process(proc("process@0b"))
+
+    sim.call_later(1.0, at_one)
+    sim.timeout(1.0).callbacks.append(lambda _e: log.append("timeout@1"))
+    sim.call_at(1.0, log.append, "call_at@1")
+    delayed = sim.event()
+    delayed.callbacks.append(lambda _e: log.append("succeed@1"))
+    delayed.succeed(delay=1.0)
+    sim.call_later(1.0, log.append, "call_later@1b")
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+def test_same_instant_fifo_across_entry_kinds(profiled):
+    from repro.obs import SimProfiler
+
+    sim = Simulator()
+    if profiled:
+        sim.attach_profiler(SimProfiler(timing_stride=2))
+    log = []
+    _mixed_same_instant(sim, log)
+    sim.run()
+    assert log == [
+        "call_later@1",
+        "timeout@1",
+        "call_at@1",
+        "succeed@1",
+        "call_later@1b",
+        "call_later@0",
+        "timeout@0",
+        "process@0",
+        "call_at@0",
+        "succeed@0",
+        "process@0b",
+    ]
+    assert sim.now == 1.0
+
+
+def test_same_instant_fifo_holds_when_stepping():
+    sim = Simulator()
+    log = []
+    _mixed_same_instant(sim, log)
+    while sim.peek() != float("inf"):
+        sim.step()
+    reference = Simulator()
+    expected = []
+    _mixed_same_instant(reference, expected)
+    reference.run()
+    assert log == expected
+
+
+def test_call_reserved_runs_where_the_reservation_was_made():
+    sim = Simulator()
+    log = []
+    key = sim.reserve(1.0)
+    sim.call_later(1.0, log.append, "scheduled after the reservation")
+    sim.call_later(0.5, lambda: sim.call_later(0.5, log.append, "at 0.5"))
+    sim.call_later(0.6, lambda: sim.call_reserved(key, log.append, "reserved"))
+    sim.run()
+    assert log == ["reserved", "scheduled after the reservation", "at 0.5"]
+    assert sim.now == 1.0
+
+
+def test_reservation_rejects_negative_delay_and_past_keys():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.reserve(-1.0)
+    key = sim.reserve(0.5)
+    sim.run(until=1.0)
+    with pytest.raises(ValueError):
+        sim.call_reserved(key, lambda: None)

@@ -1,10 +1,11 @@
 """End-to-end transport tests over a simulated two-host network."""
 
+import numpy as np
 import pytest
 
-from repro.net import FifoQdisc, Network, Tos
+from repro.net import FifoQdisc, LossyQdisc, Network, Tos
 from repro.sim import Simulator
-from repro.transport import TransportConfig, TransportStack
+from repro.transport import ConnectionEnd, TransportConfig, TransportStack
 
 
 def build_net(sim, rate_bps=8_000_000, delay=0.001, qdisc_a=None, config=None):
@@ -326,3 +327,219 @@ class TestFairnessAndScavenging:
         reno_vs_lp, _ = self.run_pair("reno", "tcplp")
         reno_vs_reno, _ = self.run_pair("reno", "reno")
         assert reno_vs_lp < reno_vs_reno * 0.85
+
+
+def blackhole(net):
+    """Drop every packet sent from now on (shadows ``Network.send``)."""
+    net.send = lambda packet: False
+
+
+def record_losses(sim, conn):
+    """(instant, reason, backoff before the loss) for each ``on_loss``."""
+    stamps = []
+    on_loss = conn.cc.on_loss
+
+    def spy(reason):
+        stamps.append((sim.now, reason, conn._rto_backoff))
+        on_loss(reason)
+
+    conn.cc.on_loss = spy
+    return stamps
+
+
+def rto_entries(sim, conn):
+    """The connection's ``_rto_fire`` timers on the kernel heap."""
+    return [
+        entry
+        for _when, _seq, entry in sim._queue
+        if getattr(entry, "fn", None) == conn._rto_fire
+    ]
+
+
+def per_arm_rto(monkeypatch):
+    """Reinstate the reference RTO timer the single timer replaced:
+    every arm pushes its own timer, and a timer acts only if the
+    deadline it was armed for is still current."""
+
+    def arm(self):
+        if self._snd_una >= self._snd_nxt:
+            self._rto_deadline = float("inf")
+            return
+        deadline = self.sim.now + self._rto * self._rto_backoff
+        self._rto_deadline = deadline
+        self.sim.call_at(deadline, fire, self, deadline)
+
+    def fire(self, deadline):
+        if self.closed or deadline != self._rto_deadline:
+            return
+        if self._snd_una < self._snd_nxt:
+            self._timeout()
+
+    monkeypatch.setattr(ConnectionEnd, "_arm_rto", arm)
+
+
+def lossy_exchange(seed):
+    """Four request/response clients over a lossy zero-delay link, where
+    the RTO sits at its floor and timeouts of different connections
+    fall on the same instant.  Returns every delivery and each client's
+    loss counters."""
+    rng = np.random.default_rng(seed)
+    sim = Simulator()
+    net = Network(sim)
+    net.add_host("a")
+    net.add_host("b")
+
+    def lossy():
+        stream = np.random.default_rng(int(rng.integers(1 << 30)))
+        return LossyQdisc(FifoQdisc(limit_packets=50), 0.1, stream)
+
+    net.connect("a", "b", rate_bps=20e6, delay=0.0,
+                qdisc_a=lossy(), qdisc_b=lossy())
+    stack_a = TransportStack(sim, net, "a", "10.1.0.1")
+    stack_b = TransportStack(sim, net, "b", "10.1.0.2")
+    net.build_routes()
+    start_echo_server(sim, stack_b)
+    log, conns = [], []
+    for client in range(4):
+        conn = stack_a.connect("10.1.0.2", 80)
+        conns.append(conn)
+
+        def run(conn=conn, client=client):
+            yield conn.established
+            for k in range(15):
+                conn.send((client, k), int(rng.integers(200, 20_000)))
+                yield sim.timeout(float(rng.choice([0.0, 0.001, 0.01])))
+
+        def read(conn=conn, client=client):
+            while True:
+                message, size = yield conn.receive()
+                log.append((sim.now, client, message, size))
+
+        sim.process(run())
+        sim.process(read())
+    sim.run(until=10.0)
+    counters = [(c.timeouts, c.retransmits, c._rto_backoff) for c in conns]
+    return log, counters
+
+
+class TestRetransmissionTimer:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lossy_exchange_matches_per_arm_timers(self, seed, monkeypatch):
+        log, counters = lossy_exchange(seed)
+        per_arm_rto(monkeypatch)
+        reference_log, reference_counters = lossy_exchange(seed)
+        assert sum(timeouts for timeouts, _, _ in counters) > 10
+        assert counters == reference_counters
+        assert log == reference_log
+
+    def test_blackholed_path_times_out_on_schedule(self):
+        sim = Simulator()
+        net, stack_a, stack_b = build_net(sim, delay=0.001)
+        stack_b.listen(80, lambda conn: None)
+        conn = stack_a.connect("10.1.0.2", 80)
+        sim.run(until=conn.established)
+        assert sim.now == 0.00212
+        blackhole(net)
+        stamps = record_losses(sim, conn)
+        conn.send("first", 3000)
+        # A second send moves the deadline 5 ms later before it is due.
+        sim.call_later(0.005, conn.send, "second", 3000)
+        sim.run(until=2.0)
+        # Exact instants: initial RTO 40 ms from the second send, then
+        # doubling back-off (80, 160, 320, 640 ms).
+        assert stamps == [
+            (0.04712, "timeout", 1.0),
+            (0.12712, "timeout", 2.0),
+            (0.28712000000000004, "timeout", 4.0),
+            (0.6071200000000001, "timeout", 8.0),
+            (1.2471200000000002, "timeout", 16.0),
+        ]
+        assert conn.timeouts == 5
+        assert conn._rto_backoff == 32.0
+
+    def test_same_instant_timeouts_keep_arming_order(self):
+        sim = Simulator()
+        net, stack_a, stack_b = build_net(sim, delay=0.001)
+        stack_b.listen(80, lambda conn: None)
+        first = stack_a.connect("10.1.0.2", 80)
+        second = stack_a.connect("10.1.0.2", 80)
+        sim.run(until=sim.all_of([first.established, second.established]))
+        blackhole(net)
+        order = []
+        for conn in (first, second):
+            on_loss = conn.cc.on_loss
+
+            def spy(reason, conn=conn, on_loss=on_loss):
+                order.append((sim.now, conn.name))
+                on_loss(reason)
+
+            conn.cc.on_loss = spy
+        sent_at = sim.now
+        # Both deadlines fall on one instant; the first connection arms
+        # before the second and then re-arms the same deadline after it.
+        first.send("a", 1000)
+        second.send("b", 1000)
+        first.send("c", 1000)
+        deadline = first._rto_deadline
+        assert second._rto_deadline == deadline
+        sim.run(until=sent_at + 0.05)
+        due = sent_at + (deadline - sent_at)
+        assert order[:2] == [(due, first.name), (due, second.name)]
+
+    def test_rto_shrunk_by_rtt_sample_fires_at_earlier_deadline(self):
+        sim = Simulator()
+        net, stack_a, stack_b = build_net(sim, delay=0.001)
+        stack_b.listen(80, lambda conn: None)
+        conn = stack_a.connect("10.1.0.2", 80)
+        sim.run(until=conn.established)
+        initial_rto = conn._rto
+        conn.send("probe", 1000)
+        first_deadline = conn._rto_deadline
+        while conn.bytes_in_flight:
+            sim.step()
+        assert conn._rto < initial_rto  # the RTT sample shrank it
+        assert sim.peek() <= first_deadline  # the probe's timer is pending
+        blackhole(net)
+        stamps = record_losses(sim, conn)
+        sent_at = sim.now
+        conn.send("lost", 1000)
+        deadline = sent_at + conn._rto
+        sim.run(until=first_deadline + 0.001)
+        assert deadline < first_deadline
+        assert stamps[0] == (sent_at + (deadline - sent_at), "timeout", 1.0)
+
+    def test_bulk_transfer_keeps_one_rto_timer_per_connection(self):
+        sim = Simulator()
+        _, stack_a, stack_b = build_net(sim, delay=0.001)
+        accepted = []
+
+        def on_accept(conn):
+            accepted.append(conn)
+
+            def serve():
+                yield conn.receive()
+                conn.send("reply-blob", 200_000)
+
+            sim.process(serve())
+
+        stack_b.listen(80, on_accept)
+        conn = stack_a.connect("10.1.0.2", 80)
+        conn.send("req-blob", 200_000)
+        most = {}
+
+        def sample():
+            for end in [conn, *accepted]:
+                entries = rto_entries(sim, end)
+                live = [e for e in entries if e.args[0] is end._rto_timer]
+                assert len(live) <= 1
+                most[end.name] = max(most.get(end.name, 0), len(entries))
+            if sim.peek() != float("inf"):
+                sim.call_later(0.0005, sample)
+
+        sim.call_later(0.0005, sample)
+        sim.run()
+        assert conn.bytes_delivered == accepted[0].bytes_delivered == 200_000
+        # Stale timers no longer pile up: besides the live one, the heap
+        # holds at most a timer superseded when the RTO shrank.
+        assert len(most) == 2
+        assert all(1 <= count <= 2 for count in most.values())
