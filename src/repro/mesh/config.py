@@ -135,6 +135,12 @@ class MeshConfig:
             self.connect_extra_delay = None
         if self.default_timeout <= 0:
             raise ValueError("default_timeout must be positive")
+        if self.inbound_concurrency is not None and self.inbound_concurrency < 1:
+            raise ValueError("inbound_concurrency must be >= 1 (or None)")
+        if self.max_inbound_queue is not None and self.max_inbound_queue < 1:
+            raise ValueError(
+                "max_inbound_queue must be >= 1 (or None for unbounded)"
+            )
         if self.tracing_tail_keep is not None and self.tracing_tail_keep < 1:
             raise ValueError(
                 "tracing_tail_keep must be >= 1 (or None to disable)"

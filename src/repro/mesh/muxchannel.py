@@ -1,9 +1,9 @@
 """Multiplexed sidecar channels (§3.6's SST suggestion, in the mesh).
 
-With ``MeshConfig.use_mux`` enabled, sidecars carry *all* requests to an
-upstream over a single multiplexed connection instead of a
-connection-per-request pool. Streams are priority-scheduled from the
-request's provenance (the ``request_priority`` policy hook), so a
+With ``MeshConfig(transport=TransportSpec(mux=True))``, sidecars carry
+*all* requests to an upstream over a single multiplexed connection
+instead of a connection-per-request pool. Streams are priority-scheduled
+from the request's provenance (the ``request_priority`` policy hook), so a
 latency-sensitive response is never head-of-line blocked behind a batch
 response on the shared connection.
 

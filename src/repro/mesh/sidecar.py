@@ -1,16 +1,21 @@
 """The sidecar proxy (Envoy's role in Fig. 1).
 
 Each pod gets one sidecar. All of the pod's communication flows through
-it, in both directions:
+it, in both directions, along one path each:
 
 * **Outbound**: the application asks for "the response to this HTTP
   request from service X" (:meth:`Sidecar.request`). The sidecar resolves
-  the route (header-match rules / subsets), load balances across
-  endpoints, applies retries/timeouts/circuit breaking/hedging, manages
-  a connection pool, and returns the response.
-* **Inbound**: the sidecar accepts mesh connections, optionally queues
-  requests by priority, hands them to the application handler, and ships
-  the response back.
+  the route (header-match rules / subsets), applies retries/timeouts/
+  circuit breaking/hedging, and makes every try in one
+  :meth:`~Sidecar._try_once`. A try travels over a pooled connection, a
+  stream on the shared mux channel, or in-process to a co-located
+  sidecar (ambient); only opening, sending and giving up differ.
+* **Inbound**: every arrival runs one :meth:`~Sidecar._serve`: traverse
+  ingress, admit, handle. Admission may queue the request in one
+  :class:`~repro.overload.LevelingQueue` in front of a worker pool. A
+  full queue turns the newcomer away with a retryable 503 (legacy
+  backpressure) or, under the overload posture, displaces its worst
+  entry or rejects with the shed status.
 
 Every proxy traversal costs a decomposed proxy delay — the §3.6
 overhead, sampled and split by the mesh's
@@ -35,12 +40,11 @@ from ..http.headers import (
     SERVER_TIMING,
     SPAN_ID,
     TRACE_ID,
-    propagate,
 )
 from ..http.message import HttpRequest, HttpResponse, HttpStatus
 from ..obs.attribution import LAYER_PROXY, LAYER_RETRY
 from ..overload import REJECTED, LevelingQueue, RetryBudget
-from ..sim import Interrupt, PriorityStore, Simulator
+from ..sim import Interrupt, Simulator
 from ..sim.rng import Distributions
 from ..transport import ConnectionEnd
 from .config import MESH_PORT, MeshConfig
@@ -54,18 +58,9 @@ from .telemetry import (
     Telemetry,
     workload_class,
 )
-from .tracing import Tracer, _default_ids
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from ..net.topology import Network
+from .tracing import Tracer
 
 AppHandler = Callable[[HttpRequest], typing.Generator]
-
-
-def _new_request_id() -> str:
-    """Back-compat process-global request id (tests / ad-hoc callers).
-    Mesh code paths allocate from the per-simulation tracer instead."""
-    return _default_ids.request_id()
 
 
 class NoHealthyUpstream(Exception):
@@ -119,16 +114,15 @@ class Sidecar:
         self._outliers: dict[str, object] = {}   # service -> OutlierDetector
         self._breakers: dict[str, CircuitBreaker] = {}
         self._app_handler: AppHandler | None = None
-        self._inbound_queue: PriorityStore | None = None
+        self._inbound_queue: LevelingQueue | None = None
         self._started = False
-        # Overload posture (repro.overload): the bounded leveling queue
-        # replaces the unbounded inbound queue, and the retry budget
-        # caps retries as a fraction of in-flight requests.
+        # Overload posture (repro.overload): with ``concurrency`` set the
+        # inbound queue displaces-or-rejects, and the retry budget caps
+        # retries as a fraction of in-flight requests.
         overload = getattr(config, "overload", None)
         self._overload = (
             overload if overload is not None and overload.enabled else None
         )
-        self._leveling: LevelingQueue | None = None
         self._retry_budget: RetryBudget | None = None
         if (
             self._overload is not None
@@ -204,16 +198,6 @@ class Sidecar:
         elif layer == LAYER_PROXY:
             graph.observe_node_proxy(self.service_name, end - start, end)
 
-    def _traverse(self, request, phase: str, nbytes: int = 0,
-                  peer_node: str | None = None):
-        """One proxy traversal (generator): the installed data plane
-        samples the decomposed §3.6 cost, attributes it to the proxy
-        layer, and yields the delay — or nothing at all, when no proxy
-        interposes at this ``phase`` (ambient local hops, no-mesh)."""
-        yield from self._dataplane.traverse(
-            self, request, phase, nbytes, peer_node=peer_node
-        )
-
     # ------------------------------------------------------------------
     # Control-plane interface
     # ------------------------------------------------------------------
@@ -237,38 +221,36 @@ class Sidecar:
             return
         self._started = True
         self.pod.stack.listen(MESH_PORT, self._on_accept)
-        if self._overload is not None and self._overload.concurrency is not None:
-            # Queue-based load leveling: a bounded priority buffer in
-            # front of a fixed worker pool. Supersedes the legacy
-            # unbounded inbound queue.
-            self._leveling = LevelingQueue(
-                self.sim,
-                depth=self._overload.queue_depth,
-                key=lambda item: item[0],
+        overload = self._overload
+        if overload is not None and overload.concurrency is not None:
+            # Load leveling supersedes the legacy inbound queue.
+            self._start_queue(
+                overload.concurrency, overload.queue_depth, displace=True
             )
-            self._inbound_queue = self._leveling.store
-            for index in range(self._overload.concurrency):
-                self.sim.process(
-                    self._inbound_worker(), name=f"{self.name}-worker{index}"
-                )
         elif self.config.inbound_concurrency is not None:
-            self._inbound_queue = PriorityStore(
-                self.sim, key=lambda item: item[0]
-            )
-            for index in range(self.config.inbound_concurrency):
-                self.sim.process(
-                    self._inbound_worker(), name=f"{self.name}-worker{index}"
-                )
+            self.enable_inbound_queue(self.config.inbound_concurrency)
 
     def enable_inbound_queue(self, concurrency: int) -> None:
-        """Retrofit prioritized request queueing (§5): at most
-        ``concurrency`` inbound requests execute at once; excess waits in
-        a priority queue ordered by the policy's ``request_priority``."""
+        """Prioritized request queueing (§5), from the config at start or
+        retrofitted by the manager: at most ``concurrency`` inbound
+        requests execute at once; excess waits in a priority queue
+        ordered by the policy's ``request_priority``, and beyond
+        ``max_inbound_queue`` is turned away (backpressure, §3.6)."""
         if self._inbound_queue is not None:
             return
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        self._inbound_queue = PriorityStore(self.sim, key=lambda item: item[0])
+        self._start_queue(
+            concurrency, self.config.max_inbound_queue, displace=False
+        )
+
+    def _start_queue(self, concurrency: int, depth: int | None,
+                     displace: bool) -> None:
+        """Put a priority-ordered inbound queue of ``depth`` entries
+        (None: unbounded) in front of ``concurrency`` workers."""
+        self._inbound_queue = LevelingQueue(
+            self.sim, depth=depth, key=lambda item: item[0], displace=displace
+        )
         for index in range(concurrency):
             self.sim.process(
                 self._inbound_worker(), name=f"{self.name}-worker{index}"
@@ -284,29 +266,17 @@ class Sidecar:
                 self._serve_connection(conn), name=f"{self.name}-serve"
             )
 
-    def _plain_replier(self, conn: ConnectionEnd):
+    def _serve_connection(self, conn: ConnectionEnd):
+        """Plain (HTTP/1.1-like) serving: one request at a time per
+        connection; the client pool provides concurrency."""
+
         def reply(response: HttpResponse) -> None:
             if not conn.closed:
                 conn.send(response, response.wire_size() + self._msg_overhead)
 
-        return reply
-
-    def _serve_connection(self, conn: ConnectionEnd):
-        """Plain (HTTP/1.1-like) serving: one request at a time per
-        connection; the client pool provides concurrency."""
-        reply = self._plain_replier(conn)
         while True:
             request, _size = yield conn.receive()
-            # Inbound traversal. A connection always crosses nodes under
-            # the ambient plane (node-local hops never reach the network),
-            # so the peer is remote by construction: no peer_node hint.
-            yield from self._traverse(
-                request, "ingress-req", request.wire_size()
-            )
-            if not (yield from self._admit(request, reply)):
-                continue
-            if self._inbound_queue is None:
-                yield from self._handle_inbound(request, reply)
+            yield from self._serve(request, reply)
 
     def _serve_mux_connection(self, conn: ConnectionEnd):
         """Multiplexed serving: streams are independent, so requests on
@@ -321,69 +291,79 @@ class Sidecar:
         )
         while True:
             request, _size = yield mux.receive()
-            priority = self.policy.request_priority(request)
 
-            def make_reply(stream_priority):
-                def reply(response: HttpResponse) -> None:
-                    if not conn.closed:
-                        mux.send(
-                            response,
-                            response.wire_size() + self._msg_overhead,
-                            priority=stream_priority,
-                        )
-
-                return reply
+            # The default argument binds this stream's priority now.
+            def reply(response: HttpResponse,
+                      priority=self.policy.request_priority(request)) -> None:
+                if not conn.closed:
+                    mux.send(
+                        response,
+                        response.wire_size() + self._msg_overhead,
+                        priority=priority,
+                    )
 
             self.sim.process(
-                self._serve_mux_request(request, make_reply(priority)),
-                name=f"{self.name}-mux-request",
+                self._serve(request, reply), name=f"{self.name}-mux-request"
             )
 
-    def _serve_mux_request(self, request: HttpRequest, reply):
-        # Inbound traversal (remote by construction: see _serve_connection).
-        yield from self._traverse(request, "ingress-req", request.wire_size())
-        if not (yield from self._admit(request, reply)):
-            return
-        if self._inbound_queue is None:
+    def local_submit(self, request: HttpRequest):
+        """Serve a node-local request without a connection (ambient):
+        the caller's node proxy already carried the bytes; admission,
+        queueing, and the app handler run exactly as for a wire arrival.
+        Returns an event carrying the HttpResponse."""
+        event = self.sim.event(name=f"local-{request.message_id}")
+
+        def reply(response: HttpResponse) -> None:
+            # The caller may have timed out (or lost a hedge race) and
+            # stopped listening; a settled event stays settled.
+            if not event.triggered:
+                event.succeed(response)
+
+        self.sim.process(
+            self._serve(request, reply, peer_node=self.pod.node.name),
+            name=f"{self.name}-serve-local",
+        )
+        return event
+
+    def _serve(self, request: HttpRequest, reply, peer_node: str | None = None):
+        """One inbound request: traverse ingress, admit, handle.
+        ``peer_node`` is the caller's node for an in-process hop, whose
+        ingress the ambient plane already paid on egress; a connection
+        always crosses nodes under ambient, so wire arrivals pass None."""
+        yield from self._dataplane.traverse(
+            self, request, "ingress-req", request.wire_size(), peer_node
+        )
+        if self._admit(request, reply):
             yield from self._handle_inbound(request, reply)
 
-    def _admit(self, request: HttpRequest, reply):
-        """Common admission: backpressure shedding + priority queueing.
-
+    def _admit(self, request: HttpRequest, reply) -> bool:
+        """Offer the request to the inbound queue, which queues it,
+        turns it away, or queues it in place of a displaced entry.
         Returns True if the caller should run the handler inline (no
-        queue configured); enqueued/shedded requests return False.
-        """
-        if self._inbound_queue is None:
+        queue configured)."""
+        queue = self._inbound_queue
+        if queue is None:
             return True
-        if self._leveling is not None:
-            # Bounded load leveling: the queue itself decides. Either
-            # the newcomer is rejected outright, or it displaces the
-            # worst queued entry (which is then shed in its place).
-            priority = self.policy.request_priority(request)
-            outcome, displaced = self._leveling.offer((priority, request, reply))
-            if outcome == REJECTED:
-                self._shed_inbound(request, reply)
-            elif displaced is not None:
-                _vp, victim_request, victim_reply = displaced
-                self._shed_inbound(victim_request, victim_reply)
-            return False
-        limit = self.config.max_inbound_queue
-        if limit is not None and len(self._inbound_queue) >= limit:
-            # Backpressure: shed load instead of queueing without
-            # bound (§3.6). 503 is retryable upstream.
-            self.requests_shed += 1
-            reply(request.reply(HttpStatus.SERVICE_UNAVAILABLE))
-            return False
         priority = self.policy.request_priority(request)
-        yield self._inbound_queue.put((priority, request, reply))
+        outcome, displaced = queue.offer((priority, request, reply))
+        if outcome == REJECTED:
+            self._shed_inbound(request, reply)
+        elif displaced is not None:
+            _priority, victim_request, victim_reply = displaced
+            self._shed_inbound(victim_request, victim_reply)
         return False
 
     def _shed_inbound(self, request: HttpRequest, reply) -> None:
-        """Answer an overload-rejected inbound request with the shed
-        status (429: not retryable, so the load leaves the system)."""
+        """Answer a request the inbound queue turned away: the overload
+        posture's displacing queue with its shed status (429: not
+        retryable, so the load leaves the system), legacy backpressure
+        (§3.6) with a retryable 503."""
         self.requests_shed += 1
-        self.telemetry.record_overload_rejection(self.service_name)
-        reply(request.reply(self._overload.shed_status))
+        if self._inbound_queue.displace:
+            self.telemetry.record_overload_rejection(self.service_name)
+            reply(request.reply(self._overload.shed_status))
+        else:
+            reply(request.reply(HttpStatus.SERVICE_UNAVAILABLE))
 
     def _inbound_worker(self):
         while True:
@@ -419,7 +399,9 @@ class Sidecar:
                 response = request.reply(HttpStatus.INTERNAL_ERROR)
         # Response traversal: always charged (the callee-side proxy
         # carries the response out whether the caller is local or not).
-        yield from self._traverse(request, "ingress-resp", response.wire_size())
+        yield from self._dataplane.traverse(
+            self, request, "ingress-resp", response.wire_size()
+        )
         span.finish(self.sim.now, status=response.status)
         self.tracer.record(span)
         if self.telemetry.graph is not None:
@@ -798,183 +780,124 @@ class Sidecar:
             if detector is not None:
                 detector.record(endpoint.ip, ok, self.sim.now)
 
-    # -- a single network try -------------------------------------------------
+    # -- a single try -----------------------------------------------------
     def _try_once(self, request, endpoint: Endpoint, per_try: float):
         """Send the request to one endpoint, await the response or a
-        timeout. Returns HttpResponse or None on timeout/connect failure."""
-        target = self._dataplane.local_sidecar(self, endpoint)
-        if target is not None:
-            result = yield from self._local_try_once(
-                request, target, endpoint, per_try
-            )
-            return result
-        if self._transport_spec.mux:
-            result = yield from self._mux_try_once(request, endpoint, per_try)
-            return result
-        params = self.policy.transport_params(request)
+        timeout. Returns HttpResponse or None on timeout/connect failure.
+
+        How the request travels decides three steps, and only those:
+        *open* a pooled connection, the shared mux channel, or nothing
+        for an in-process hop (ambient, same node); *send* one exchange,
+        one stream at the policy's priority, or a hand-off to the
+        co-located sidecar; *give up* (:meth:`_give_up`).
+        """
         lb = self._lb_for(request.service)
         lb.on_request_start(endpoint)
         started = self.sim.now
+        target = self._dataplane.local_sidecar(self, endpoint)
+        conn = channel = flow_id = None
+        if target is None:
+            params = self.policy.transport_params(request)
+            if self._transport_spec.mux:
+                channel = self._mux_channel(endpoint, params)
+                flow_id = channel.conn.flow_id
+            else:
+                try:
+                    conn = yield from self._acquire_connection(
+                        endpoint, params, per_try, request
+                    )
+                except (ConnectionError, TimeoutError):
+                    lb.on_request_end(endpoint, self.sim.now - started, ok=False)
+                    return None
+                except Interrupt:
+                    lb.on_request_end(endpoint, self.sim.now - started, ok=False)
+                    raise
+                flow_id = conn.flow_id
+        # Map the flow to this request so qdisc waits on its packets
+        # (both directions) attribute to the right root. Mux streams
+        # share one flow: the last claimant wins, which is an
+        # approximation but keeps queue wait attributed to a live root
+        # rather than dropped on the floor.
+        attributor = graph = None
+        if flow_id is not None:
+            attributor = self.telemetry.attributor
+            graph = self.telemetry.graph
+            root = request.headers.get(REQUEST_ID)
+            if attributor is not None:
+                attributor.claim_flow(flow_id, root)
+            if graph is not None:
+                graph.claim_flow(flow_id, self.service_name, request.service)
+        reply = None
         try:
-            conn = yield from self._acquire_connection(
-                endpoint, params, per_try, request=request
+            yield from self._dataplane.traverse(
+                self, request, "egress-req", request.wire_size()
             )
-        except (ConnectionError, TimeoutError):
-            lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-            return None
-        except Interrupt:
-            lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-            raise
-        # Map the connection's flow to this request so qdisc waits on
-        # its packets (both directions) attribute to the right root.
-        attributor = self.telemetry.attributor
-        graph = self.telemetry.graph
-        root = request.headers.get(REQUEST_ID)
-        if attributor is not None:
-            attributor.claim_flow(conn.flow_id, root)
-        if graph is not None:
-            graph.claim_flow(conn.flow_id, self.service_name, request.service)
-        get = None
-        try:
-            # Outbound traversal.
-            yield from self._traverse(request, "egress-req", request.wire_size())
-            conn.send(request, request.wire_size() + self._msg_overhead)
-            get = conn.receive()
-            timer = self.sim.timeout(per_try)
-            yield self.sim.any_of([get, timer])
-            if get.processed and get.ok:
-                response, _size = get.value
-                # Response traversal back through the caller-side proxy.
-                yield from self._traverse(
-                    request, "egress-resp", response.wire_size(),
-                    peer_node=endpoint.node,
+            if target is not None:
+                reply = target.local_submit(request)
+            elif channel is not None:
+                reply = channel.request(
+                    request,
+                    request.wire_size() + self._msg_overhead,
+                    self.policy.request_priority(request),
                 )
-                self._release_connection(endpoint, params, conn)
+            else:
+                conn.send(request, request.wire_size() + self._msg_overhead)
+                reply = conn.receive()
+            timer = self.sim.timeout(per_try)
+            yield self.sim.any_of([reply, timer])
+            if reply.processed and reply.ok:
+                response = reply.value
+                if conn is not None:
+                    response, _size = response
+                # Back through the caller-side proxy (the plane skips it
+                # for a co-located callee, whose node proxy carried it).
+                yield from self._dataplane.traverse(
+                    self, request, "egress-resp", response.wire_size(),
+                    endpoint.node,
+                )
+                if conn is not None and not conn.closed:
+                    self._pools[self._pool_key(endpoint, params)].append(conn)
                 lb.on_request_end(endpoint, self.sim.now - started, ok=True)
                 return response
         except Interrupt:
-            # Cancelled (hedge loser): tear the exchange down, then let
-            # the interruption propagate. Not a timeout — no telemetry.
-            if get is not None:
-                conn.inbox.cancel(get)
+            # Cancelled (hedge loser): give the exchange up, then let the
+            # interruption propagate. Not a timeout — no telemetry.
+            self._give_up(request, conn, channel, reply)
+            lb.on_request_end(endpoint, self.sim.now - started, ok=False)
+            raise
+        finally:
+            if attributor is not None:
+                attributor.release_flow(flow_id, root)
+            if graph is not None:
+                graph.release_flow(flow_id)
+        self._give_up(request, conn, channel, reply)
+        lb.on_request_end(endpoint, self.sim.now - started, ok=False)
+        self.telemetry.record_timeout(
+            destination=request.service, now=self.sim.now
+        )
+        return None
+
+    def _give_up(self, request, conn, channel, reply) -> None:
+        """Stop waiting for a try's reply (None: never sent). A mux
+        stream is abandoned, its channel kept; a plain connection holds
+        an orphaned exchange and is torn down. An in-process callee
+        finishes on its own and replies into a settled event."""
+        if channel is not None:
+            if reply is not None:
+                channel.abandon(request)
+        elif conn is not None:
+            if reply is not None:
+                conn.inbox.cancel(reply)
             conn.close()
             self.pod.stack.drop_flow(conn.flow_id)
-            lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-            raise
-        finally:
-            if attributor is not None:
-                attributor.release_flow(conn.flow_id, root)
-            if graph is not None:
-                graph.release_flow(conn.flow_id)
-        # Timed out: the connection has an orphaned in-flight exchange.
-        conn.inbox.cancel(get)
-        conn.close()
-        self.pod.stack.drop_flow(conn.flow_id)
-        lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-        self.telemetry.record_timeout(
-            destination=request.service, now=self.sim.now
-        )
-        return None
 
-    def _mux_try_once(self, request, endpoint: Endpoint, per_try: float):
-        """One try over the shared multiplexed channel (§3.6): the
-        request gets its own priority-scheduled stream; a timeout only
-        abandons the stream, never the channel."""
-        from .muxchannel import MuxChannel
-
-        params = self.policy.transport_params(request)
-        lb = self._lb_for(request.service)
-        lb.on_request_start(endpoint)
-        started = self.sim.now
-        key = self._pool_key(endpoint, params)
-        channel = self._mux_channels.get(key)
-        if channel is None or channel.closed:
-            # Created synchronously (sends buffer until the handshake
-            # completes) so concurrent requests share one channel.
-            conn = self.pod.stack.connect(
-                endpoint.ip,
-                MESH_PORT,
-                tos=params.tos,
-                cc_name=params.cc_name,
-                name=f"{self.name}->{endpoint.pod_name}",
-                alpn="mux",
-            )
-            self.pool_connections_created += 1
-            channel = MuxChannel(
-                self.sim, conn, chunk_bytes=self._transport_spec.mux_chunk_bytes
-            )
-            self._mux_channels[key] = channel
-        # Mux streams share one flow: the last claimant wins, which is
-        # an approximation but keeps queue wait attributed to a live
-        # root rather than dropped on the floor.
-        attributor = self.telemetry.attributor
-        graph = self.telemetry.graph
-        root = request.headers.get(REQUEST_ID)
-        if attributor is not None:
-            attributor.claim_flow(channel.conn.flow_id, root)
-        if graph is not None:
-            graph.claim_flow(
-                channel.conn.flow_id, self.service_name, request.service
-            )
-        event = None
-        try:
-            # Outbound traversal.
-            yield from self._traverse(request, "egress-req", request.wire_size())
-            priority = self.policy.request_priority(request)
-            event = channel.request(
-                request,
-                request.wire_size() + self._msg_overhead,
-                priority,
-            )
-            timer = self.sim.timeout(per_try)
-            yield self.sim.any_of([event, timer])
-            if event.processed and event.ok:
-                response = event.value
-                # Response traversal back through the caller-side proxy.
-                yield from self._traverse(
-                    request, "egress-resp", response.wire_size(),
-                    peer_node=endpoint.node,
-                )
-                lb.on_request_end(endpoint, self.sim.now - started, ok=True)
-                return response
-        except Interrupt:
-            # Cancelled (hedge loser): abandon the stream, keep the
-            # channel, and propagate. Not a timeout — no telemetry.
-            if event is not None:
-                channel.abandon(request)
-            lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-            raise
-        finally:
-            if attributor is not None:
-                attributor.release_flow(channel.conn.flow_id, root)
-            if graph is not None:
-                graph.release_flow(channel.conn.flow_id)
-        channel.abandon(request)
-        lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-        self.telemetry.record_timeout(
-            destination=request.service, now=self.sim.now
-        )
-        return None
-
-    # -- connection pool --------------------------------------------------
+    # -- connections ------------------------------------------------------
     def _pool_key(self, endpoint: Endpoint, params: TransportParams) -> tuple:
         return (endpoint.ip, endpoint.port, params.tos, params.cc_name)
 
-    def _acquire_connection(self, endpoint, params, budget: float, request=None):
-        key = self._pool_key(endpoint, params)
-        pool = self._pools.setdefault(key, [])
-        while pool:
-            conn = pool.pop()
-            if not conn.closed:
-                return conn
-        conn = yield from self._open_connection(
-            endpoint, params, budget, request=request
-        )
-        return conn
-
-    def _open_connection(
-        self, endpoint, params, budget: float, alpn: str = "message", request=None
-    ):
+    def _connect(self, endpoint, params, alpn: str = "message") -> ConnectionEnd:
+        """Start a mesh connection to ``endpoint`` (does not wait for the
+        handshake)."""
         conn = self.pod.stack.connect(
             endpoint.ip,
             MESH_PORT,
@@ -984,6 +907,18 @@ class Sidecar:
             alpn=alpn,
         )
         self.pool_connections_created += 1
+        return conn
+
+    def _acquire_connection(self, endpoint, params, budget: float, request):
+        """An idle pooled connection to ``endpoint``, or a fresh one once
+        its handshake completes within ``budget``. Raises TimeoutError or
+        ConnectionError when it does not."""
+        pool = self._pools.setdefault(self._pool_key(endpoint, params), [])
+        while pool:
+            conn = pool.pop()
+            if not conn.closed:
+                return conn
+        conn = self._connect(endpoint, params)
         connect_start = self.sim.now
         timer = self.sim.timeout(budget)
         try:
@@ -1003,77 +938,22 @@ class Sidecar:
         yield from self._dataplane.connect_overhead(self, request, connect_start)
         return conn
 
-    def _release_connection(self, endpoint, params, conn) -> None:
-        if conn.closed:
-            return
-        self._pools.setdefault(self._pool_key(endpoint, params), []).append(conn)
+    def _mux_channel(self, endpoint, params):
+        """The shared multiplexed channel to ``endpoint`` (§3.6), opened
+        on first use. It is created synchronously (sends buffer until
+        the handshake completes) so concurrent requests share it."""
+        from .muxchannel import MuxChannel
 
-    # -- node-local delivery (ambient data plane) -------------------------
-    def local_submit(self, request: HttpRequest):
-        """Serve a node-local request without a connection (ambient):
-        the caller's node proxy already carried the bytes; admission,
-        queueing, and the app handler run exactly as for a wire arrival.
-        Returns an event carrying the HttpResponse."""
-        event = self.sim.event(name=f"local-{request.message_id}")
-
-        def reply(response: HttpResponse) -> None:
-            # The caller may have timed out (or lost a hedge race) and
-            # stopped listening; a settled event stays settled.
-            if not event.triggered:
-                event.succeed(response)
-
-        self.sim.process(
-            self._serve_local(request, reply), name=f"{self.name}-serve-local"
-        )
-        return event
-
-    def _serve_local(self, request: HttpRequest, reply):
-        # Inbound traversal with a known-local peer: the ambient plane
-        # skips it (the shared node proxy was paid on egress).
-        yield from self._traverse(
-            request, "ingress-req", request.wire_size(),
-            peer_node=self.pod.node.name,
-        )
-        if not (yield from self._admit(request, reply)):
-            return
-        if self._inbound_queue is None:
-            yield from self._handle_inbound(request, reply)
-
-    def _local_try_once(self, request, target: "Sidecar",
-                        endpoint: Endpoint, per_try: float):
-        """One node-local try: traverse the shared node proxy out, hand
-        the request to the co-located sidecar in-process, await the
-        reply. No connection, no wire, no flow to claim."""
-        lb = self._lb_for(request.service)
-        lb.on_request_start(endpoint)
-        started = self.sim.now
-        try:
-            yield from self._traverse(
-                request, "egress-req", request.wire_size()
+        key = self._pool_key(endpoint, params)
+        channel = self._mux_channels.get(key)
+        if channel is None or channel.closed:
+            channel = MuxChannel(
+                self.sim,
+                self._connect(endpoint, params, alpn="mux"),
+                chunk_bytes=self._transport_spec.mux_chunk_bytes,
             )
-            event = target.local_submit(request)
-            timer = self.sim.timeout(per_try)
-            yield self.sim.any_of([event, timer])
-        except Interrupt:
-            # Cancelled (hedge loser): the callee finishes on its own
-            # and replies into a settled/abandoned event.
-            lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-            raise
-        if event.processed and event.ok:
-            response = event.value
-            # Known-local response: the plane skips the egress-resp
-            # traversal (the callee's node proxy carried it already).
-            yield from self._traverse(
-                request, "egress-resp", response.wire_size(),
-                peer_node=endpoint.node,
-            )
-            lb.on_request_end(endpoint, self.sim.now - started, ok=True)
-            return response
-        lb.on_request_end(endpoint, self.sim.now - started, ok=False)
-        self.telemetry.record_timeout(
-            destination=request.service, now=self.sim.now
-        )
-        return None
+            self._mux_channels[key] = channel
+        return channel
 
     # -- misc -----------------------------------------------------------------
     def __repr__(self):

@@ -339,8 +339,10 @@ class ResourceCollector:
     def _watch_sidecar(self, sidecar) -> None:
         pod = sidecar.pod.name
         node = sidecar.pod.node.name
-        if sidecar._leveling is not None:
-            self.watch_leveling(f"leveling:{pod}", node, sidecar._leveling)
+        queue = sidecar._inbound_queue
+        # The overload posture's queue displaces; the legacy one rejects.
+        if queue is not None and queue.displace:
+            self.watch_leveling(f"leveling:{pod}", node, queue)
         if sidecar._retry_budget is not None:
             self.watch_budget(
                 f"retry-budget:{pod}", node, sidecar._retry_budget, sidecar.sim
@@ -351,7 +353,7 @@ class ResourceCollector:
             if overload is not None and overload.concurrency is not None
             else sidecar.config.inbound_concurrency
         )
-        if sidecar._inbound_queue is not None and concurrency:
+        if queue is not None and concurrency:
             tracker = self.track(
                 f"sidecar-pool:{pod}", "concurrency", node, float(concurrency)
             )

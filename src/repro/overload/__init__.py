@@ -19,7 +19,9 @@ latency-insensitive work first, always:
 * :class:`LevelingQueue` (:mod:`limiter`) — the sidecar's queue-based
   load-leveling buffer: bounded depth, priority-ordered, deterministic
   overflow policy (a newcomer that outranks the worst queued entry
-  displaces it; otherwise the newcomer is rejected).
+  displaces it; otherwise the newcomer is rejected).  The sidecar's
+  legacy inbound queue is the same buffer, reject-only and optionally
+  unbounded.
 * :class:`RetryBudget` (:mod:`budget`) — Envoy-style retry budgeting:
   retries may be in flight only up to ``max(min_retries, ratio × active
   requests)``, so shed/failed requests cannot re-enter as a storm.

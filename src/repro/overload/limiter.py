@@ -1,4 +1,4 @@
-"""Queue-based load leveling: the sidecar's bounded priority buffer.
+"""Queue-based load leveling: the sidecar's priority-ordered inbound buffer.
 
 The load-leveling pattern (queue between producer and a fixed pool of
 consumers) smooths bursts, but an *unbounded* leveling queue under
@@ -6,10 +6,13 @@ sustained overload is exactly how latency collapses: the buffer absorbs
 the excess as standing delay.  :class:`LevelingQueue` bounds the buffer
 and makes the overflow policy deterministic and priority-aware:
 
-* below ``depth``, every offer queues;
+* below ``depth``, every offer queues (``depth=None``: the buffer is
+  unbounded and nothing is ever rejected);
 * at ``depth``, a newcomer that outranks (smaller key than) the *worst*
   queued entry displaces it — the displaced request is handed back to
-  the caller to shed — otherwise the newcomer itself is rejected.
+  the caller to shed — otherwise the newcomer itself is rejected;
+* with ``displace=False`` (reject-only: the sidecar's legacy
+  backpressure) a full buffer rejects every newcomer, whatever its rank.
 
 Eviction picks the max ``(key, arrival)`` entry: the youngest item of
 the worst class, so within a class the buffer degrades LIFO-from-the-
@@ -32,17 +35,20 @@ REJECTED = "rejected"
 
 
 class LevelingQueue:
-    """A bounded :class:`PriorityStore` with displace-or-reject overflow.
+    """A :class:`PriorityStore` with a bound and an overflow policy:
+    displace-or-reject (the default) or reject-only.
 
     ``key`` orders the buffer (smallest first, ties FIFO), exactly like
     the store it wraps.  Consumers block on :meth:`get` as with any
     store; producers call :meth:`offer`, which never blocks.
     """
 
-    def __init__(self, sim: "Simulator", depth: int, key=None):
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
+    def __init__(self, sim: "Simulator", depth: int | None, key=None,
+                 displace: bool = True):
+        if depth is not None and depth < 1:
+            raise ValueError("depth must be >= 1 (or None: unbounded)")
         self.depth = depth
+        self.displace = displace
         self.store = PriorityStore(sim, key=key)
         # Conservation counters: offered == queued + rejected, and the
         # displaced (evicted) entries were once queued.
@@ -71,8 +77,8 @@ class LevelingQueue:
         """
         self.offered += 1
         displaced = None
-        if len(self.store) >= self.depth:
-            worst = self.store.peek_max()
+        if self.depth is not None and len(self.store) >= self.depth:
+            worst = self.store.peek_max() if self.displace else None
             if worst is None or not self.store._key(item) < self.store._key(worst):
                 self.rejected += 1
                 if self.monitor is not None:

@@ -5,6 +5,9 @@ import pytest
 from helpers import MeshTestbed, echo_handler
 
 from repro.cluster import Cluster, PodSpec, Scheduler
+from repro.core.hooks import PriorityPolicyHooks
+from repro.core.policy import CrossLayerPolicy
+from repro.core.priorities import Priority, set_priority
 from repro.http import HttpRequest, HttpStatus
 from repro.mesh import CongestionAwareLB, MeshConfig, RetryPolicy, ServiceMesh
 from repro.mesh.policy import PolicyHooks
@@ -128,6 +131,56 @@ class TestBackpressure:
         assert sidecar.requests_shed == shed
         assert shed >= 1, statuses
         assert served >= 3  # 1 executing + 2 queued, plus later capacity
+
+    def test_full_queue_turns_away_a_better_newcomer(self):
+        # The legacy queue never displaces: even an LS arrival at a full
+        # queue is turned away with a retryable 503, and the overload
+        # posture's rejection counter stays untouched.
+        config = MeshConfig(
+            inbound_concurrency=1,
+            max_inbound_queue=2,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        testbed = MeshTestbed(mesh_config=config)
+        services = testbed.add_service("slow", echo_handler(delay=0.5))
+        gateway = testbed.finish("slow")
+        # Priority-aware queueing needs the cross-layer hooks on the
+        # serving sidecar; the gateway keeps neutral hooks so the
+        # x-priority headers set below survive ingress classification.
+        for micro in services:
+            micro.sidecar.policy = PriorityPolicyHooks(CrossLayerPolicy())
+
+        def submit(priority):
+            request = HttpRequest(service="")
+            set_priority(request, priority)
+            return gateway.submit(request, timeout=10.0)
+
+        # One executing, two queued: the queue is full.
+        low_events = [submit(Priority.LOW) for _ in range(3)]
+        vip_events = []
+
+        def vip_later():
+            yield testbed.sim.timeout(0.1)
+            vip_events.append(submit(Priority.HIGH))
+
+        testbed.sim.process(vip_later())
+        testbed.sim.run(until=3.0)
+        testbed.sim.run(until=testbed.sim.all_of(low_events + vip_events))
+        assert vip_events[0].value.status == HttpStatus.SERVICE_UNAVAILABLE
+        assert [e.value.status for e in low_events] == [200, 200, 200]
+        sidecar = services[0].sidecar
+        assert sidecar.requests_shed == 1
+        assert testbed.mesh.telemetry.overload_rejections_total == 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"inbound_concurrency": 0}, {"max_inbound_queue": 0}],
+    )
+    def test_empty_worker_pool_or_queue_rejected_at_build(self, fields):
+        # No worker would ever serve the queue, or a queue that holds
+        # nothing would turn every request away even with idle workers.
+        with pytest.raises(ValueError):
+            MeshConfig(**fields)
 
     def test_no_shedding_below_limit(self):
         config = MeshConfig(inbound_concurrency=4, max_inbound_queue=100)

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import MeshTestbed, echo_handler
 
+from repro.experiments import ScenarioConfig, build_scenario
 from repro.http import HttpRequest, HttpStatus, REQUEST_ID, TRACE_ID
 from repro.mesh import (
     HeaderMatch,
@@ -16,6 +17,9 @@ from repro.mesh import (
     RouteRule,
     subset,
 )
+from repro.mesh.loadbalancer import LeastRequestLB
+from repro.obs import GraphCollector, ObservabilityPlane
+from repro.transport import TransportSpec
 
 
 def submit(testbed, gateway, path="/", **headers):
@@ -298,3 +302,69 @@ class TestMtls:
         plain = run(False)
         secured = run(True)
         assert secured > plain  # handshake cost on the first connection
+
+
+class TestTryBookkeeping:
+    """Every way a try can travel (pooled connection, mux stream, a
+    connection between ambient nodes, an in-process node-local hop)
+    balances its bookkeeping on every exit: success, per-try timeout,
+    and a hedge loser interrupted mid-flight."""
+
+    CARRIERS = {
+        "pooled": ({}, 2),
+        "mux": ({"transport": TransportSpec(mux=True)}, 2),
+        "ambient-2-nodes": ({"data_plane": "ambient"}, 2),
+        "ambient-node-local": ({"data_plane": "ambient"}, 1),
+    }
+
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_bookkeeping_balances_after_drain(self, carrier):
+        mesh_overrides, nodes = self.CARRIERS[carrier]
+        mesh_config = MeshConfig(
+            lb_name="least-request",
+            # LS requests race a hedge; LI requests retry under a
+            # per-try timeout tight enough to expire.
+            hedge=HedgePolicy(
+                delay=0.002, max_hedges=1, only_priorities=frozenset({"high"})
+            ),
+            retry=RetryPolicy(max_attempts=2, per_try_timeout=0.005),
+            **mesh_overrides,
+        )
+        config = ScenarioConfig(
+            rps=30.0,
+            li_rps=30.0,
+            duration=1.0,
+            warmup=0.0,
+            drain=30.0,
+            seed=1,
+            nodes=nodes,
+            transport=TransportSpec(
+                fidelity="hybrid", mss=15_000, header_bytes=60
+            ),
+            mesh=mesh_config,
+        )
+        sim, cluster, mesh, _app, _gateway, mix, _manager = build_scenario(
+            config
+        )
+        plane = ObservabilityPlane(graph=GraphCollector(window=1.0))
+        plane.install(mesh=mesh, cluster=cluster)
+        mix.start(config.duration)
+        sim.run(until=config.duration + config.drain)
+
+        assert mix.issued > 0
+        assert len(mix.recorder) == mix.issued
+        balancers = [
+            lb
+            for sidecar in mesh.sidecars
+            for lb in sidecar._lbs.values()
+            if isinstance(lb, LeastRequestLB)
+        ]
+        assert balancers
+        for lb in balancers:
+            assert all(count == 0 for count in lb.outstanding.values())
+        assert plane.attributor._flow_roots == {}
+        assert plane.graph._flows == {}
+        # Both give-up exits ran: hedge losers were interrupted and
+        # tries timed out.
+        assert sum(s.hedges_cancelled for s in mesh.sidecars) > 0
+        assert mesh.telemetry.timeouts_total > 0

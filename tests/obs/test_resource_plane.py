@@ -231,6 +231,32 @@ class TestScenarioInstall:
         statuses = tuple(e.value.status for e in events)
         return testbed, statuses
 
+    def test_leveling_tracker_sees_the_queue_drain(self):
+        # Workers dequeue through LevelingQueue.get, so the tracker
+        # samples every dequeue, not only offers: once the burst has
+        # drained, the queue reads empty instead of its high-water mark.
+        config = MeshConfig(
+            retry=RetryPolicy(max_attempts=1),
+            overload=OverloadConfig(gate=None, concurrency=2, queue_depth=8),
+        )
+        testbed = MeshTestbed(mesh_config=config, seed=3)
+
+        def compute_handler(ctx, request):
+            yield from ctx.compute(0.005)
+            return request.reply(body_size=200)
+
+        testbed.add_service("svc", compute_handler)
+        gateway = testbed.finish("svc")
+        collector = ResourceCollector(window=2.0)
+        collector.install(testbed.sim, mesh=testbed.mesh)
+        events = [gateway.submit(HttpRequest(service="")) for _ in range(20)]
+        testbed.sim.run(until=testbed.sim.all_of(events))
+        tracked = collector.tracker("leveling:svc-v1-1")
+        now = testbed.sim.now
+        assert tracked.sat.maximum(now) == 8.0  # the burst filled it
+        assert tracked.util.last == 0.0
+        assert tracked.sat.last == 0.0
+
     def test_install_registers_every_layer(self):
         collector = ResourceCollector(window=2.0)
         testbed, statuses = self._run_testbed(collector)

@@ -91,6 +91,27 @@ class TestLevelingQueue:
         assert displaced == (2, "victim-young")
         assert sorted(queue.items) == [(1, "vip"), (2, "victim-old")]
 
+    def test_unbounded_depth_never_rejects(self):
+        queue = LevelingQueue(Simulator(), depth=None, key=by_rank)
+        for i in range(100):
+            outcome, displaced = queue.offer((i % 3, i))
+            assert outcome == QUEUED
+            assert displaced is None
+        assert len(queue) == 100
+        assert queue.rejected == 0
+
+    def test_reject_only_never_displaces(self):
+        # Without displacement a full buffer turns away even a newcomer
+        # that outranks every queued entry.
+        queue = LevelingQueue(Simulator(), depth=2, key=by_rank, displace=False)
+        queue.offer((2, "low-old"))
+        queue.offer((2, "low-young"))
+        outcome, displaced = queue.offer((0, "vip"))
+        assert outcome == REJECTED
+        assert displaced is None
+        assert queue.items == [(2, "low-old"), (2, "low-young")]
+        assert queue.evicted == 0
+
     def test_depth_bound_holds_under_churn(self):
         queue = LevelingQueue(Simulator(), depth=4, key=by_rank)
         for i in range(64):

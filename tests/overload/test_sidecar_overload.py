@@ -67,9 +67,9 @@ class TestLevelingQueue:
 
         def watch():
             while testbed.sim.now < 3.0:
-                if sidecar._leveling is not None:
+                if sidecar._inbound_queue is not None:
                     high_water["depth"] = max(
-                        high_water["depth"], len(sidecar._leveling)
+                        high_water["depth"], len(sidecar._inbound_queue)
                     )
                 yield testbed.sim.timeout(0.005)
 
